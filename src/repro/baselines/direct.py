@@ -14,7 +14,7 @@ from typing import Iterable, List, Optional
 from repro.core.address import AddressCodec
 from repro.core.config import MACConfig
 from repro.core.packet import CoalescedRequest
-from repro.core.request import MemoryRequest, Target
+from repro.core.request import MemoryRequest, RequestType, Target
 from repro.core.stats import MACStats
 
 
@@ -26,21 +26,30 @@ def dispatch_raw(
     """One FLIT-sized packet per raw request, no aggregation."""
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)
-    st = stats if stats is not None else MACStats()
+    flit_id, row_offset_mask = codec.flit_id, codec.row_offset_mask
+    flit_bytes = cfg.flit_bytes
+    LOAD, STORE, FENCE = RequestType.LOAD, RequestType.STORE, RequestType.FENCE
     out: List[CoalescedRequest] = []
+    append = out.append
+    loads = stores = fences = atomics = 0
     for req in requests:
-        st.record_raw(req.rtype)
-        if req.is_fence:
+        rtype = req.rtype
+        if rtype is LOAD:
+            loads += 1
+        elif rtype is STORE:
+            stores += 1
+        elif rtype is FENCE:
+            fences += 1
             continue
-        flit = codec.flit_id(req.addr)
-        pkt = CoalescedRequest(
-            addr=codec.row_base(req.addr) + flit * cfg.flit_bytes,
-            size=cfg.flit_bytes,
-            rtype=req.rtype,
-            targets=[Target(req.tid, req.tag, flit)],
-            requests=[req],
-            bypassed=True,
-        )
-        st.record_packet(pkt)
-        out.append(pkt)
+        else:
+            atomics += 1
+        addr = req.addr
+        flit = flit_id(addr)
+        append(CoalescedRequest(
+            (addr & ~row_offset_mask) + flit * flit_bytes, flit_bytes, rtype,
+            [Target(req.tid, req.tag, flit)], [req], True,
+        ))
+    st = stats if stats is not None else MACStats()
+    st.record_raw_counts(loads, stores, fences, atomics)
+    st.record_packets(out)
     return out

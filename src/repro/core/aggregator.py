@@ -17,7 +17,7 @@ from ..obs.tracer import NULL_TRACER
 from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import AggregatedRequestQueue
-from .builder import RequestBuilder, bypass_packet
+from .builder import RequestBuilder
 from .config import MACConfig
 from .flit_table import FlitTablePolicy
 from .packet import CoalescedRequest
@@ -101,7 +101,10 @@ class RawRequestAggregator:
             elif head.bypass:
                 entry = self.arq.pop()
                 assert entry is not None
-                out.append(bypass_packet(entry, self.codec, self.config, cycle))
+                out.append(self.builder.emitter.bypass(
+                    -1 if entry.atomic else entry.key,
+                    entry.targets, entry.requests, cycle,
+                ))
                 self._next_pop = cycle + self.config.pop_interval
                 if tr.enabled:
                     tr.emit(

@@ -10,15 +10,147 @@ of one packet every 2 cycles once primed (section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim import register_wake_protocol
 from .address import AddressCodec
 from .arq import ARQEntry
 from .config import MACConfig
+from .flit import FlitMap
 from .flit_table import FlitTable, FlitTablePolicy
 from .packet import CoalescedRequest
-from .request import RequestType
+from .request import MemoryRequest, RequestType, Target
+
+_LOAD = RequestType.LOAD
+_STORE = RequestType.STORE
+_ATOMIC = RequestType.ATOMIC
+
+#: One packet of a row: (byte offset in the row, size, first FLIT, end FLIT).
+_Segment = Tuple[int, int, int, int]
+
+#: (flits, groups, chunk bytes, policy) -> (FLIT table, FLIT bitmap ->
+#: its packets' segments).  Filled lazily, once per bitmap the first time
+#: it is emitted, and shared by every emitter of that geometry: a layout
+#: is a pure function of its key, so sharing cannot change a result.
+_GEOMETRY: Dict[tuple, Tuple[FlitTable, Dict[int, Tuple[_Segment, ...]]]] = {}
+
+
+class PacketEmitter:
+    """Int-level packet assembly for the builder, bypass path and window engine.
+
+    The pipelined builder, the cycle engine's bypass path and the window
+    engine all emit through this one implementation.  :meth:`build`
+    turns a row's ARQ key, FLIT bitmap, targets and raw requests into
+    the builder's packets: stage 1 OR-reduces the bitmap into group
+    bits, stage 2 looks them up in the FLIT table, and each target rides
+    the packet covering its FLIT.  :meth:`bypass` makes the single-FLIT
+    packet of a B-bit entry or an atomic.  A packet that carries every
+    target takes the given lists as they are, so callers hand over lists
+    they no longer mutate.
+    """
+
+    __slots__ = ("config", "codec", "table", "_layouts")
+
+    def __init__(
+        self,
+        config: MACConfig,
+        codec: Optional[AddressCodec] = None,
+        policy: FlitTablePolicy = FlitTablePolicy.SPAN,
+    ) -> None:
+        self.config = config
+        self.codec = codec or AddressCodec(config)
+        geometry = (
+            config.flits_per_row, config.groups_per_row,
+            config.min_request_bytes, policy,
+        )
+        cached = _GEOMETRY.get(geometry)
+        if cached is None:
+            table = FlitTable(
+                groups=config.groups_per_row,
+                chunk_bytes=config.min_request_bytes,
+                policy=policy,
+            )
+            cached = _GEOMETRY[geometry] = (table, {})
+        self.table, self._layouts = cached
+
+    def _layout(self, flit_bits: int) -> Tuple[_Segment, ...]:
+        cfg = self.config
+        pattern = FlitMap(cfg.flits_per_row, flit_bits).group_bits(
+            cfg.groups_per_row
+        )
+        chunk, per = cfg.min_request_bytes, cfg.flits_per_group
+        segments = tuple(
+            (seg.offset * chunk, seg.length * chunk,
+             seg.offset * per, (seg.offset + seg.length) * per)
+            for seg in self.table.lookup(pattern)
+        )
+        self._layouts[flit_bits] = segments
+        return segments
+
+    def build(
+        self,
+        key: int,
+        flit_bits: int,
+        targets: List[Target],
+        requests: List[MemoryRequest],
+        cycle: int = 0,
+    ) -> List[CoalescedRequest]:
+        """The builder's packets for one row (exactly what the pipeline emits).
+
+        Every target's FLIT must be set in ``flit_bits``, as it is in an
+        ARQ entry's FLIT map.
+        """
+        segments = self._layouts.get(flit_bits)
+        if segments is None:
+            segments = self._layout(flit_bits)
+        codec = self.codec
+        base = (key & codec.row_mask) << codec.row_shift
+        rtype = _STORE if key & codec.t_bit else _LOAD
+        if len(segments) == 1:
+            # Every policy covers all set chunks (tests/core/test_flit_table),
+            # so a lone packet carries every target.
+            offset, size = segments[0][0], segments[0][1]
+            return [
+                CoalescedRequest(
+                    base + offset, size, rtype, targets, requests, False, cycle
+                )
+            ]
+        packets: List[CoalescedRequest] = []
+        for offset, size, lo, hi in segments:
+            idx = [i for i, t in enumerate(targets) if lo <= t.flit_id < hi]
+            packets.append(
+                CoalescedRequest(
+                    base + offset, size, rtype,
+                    [targets[i] for i in idx], [requests[i] for i in idx],
+                    False, cycle,
+                )
+            )
+        return packets
+
+    def bypass(
+        self,
+        key: int,
+        targets: List[Target],
+        requests: List[MemoryRequest],
+        cycle: int = 0,
+    ) -> CoalescedRequest:
+        """The single-FLIT (16 B) packet of a B-bit entry.
+
+        ``key`` is the entry's ARQ key, or -1 for an atomic: atomics
+        carry no key, so their row comes from the raw request's address.
+        """
+        codec = self.codec
+        if key < 0:
+            rtype = _ATOMIC
+            base = codec.row_base(requests[0].addr)
+        else:
+            rtype = _STORE if key & codec.t_bit else _LOAD
+            base = (key & codec.row_mask) << codec.row_shift
+        flit_bytes = self.config.flit_bytes
+        return CoalescedRequest(
+            base + targets[0].flit_id * flit_bytes, flit_bytes, rtype,
+            targets, requests, True, cycle,
+        )
 
 
 @dataclass(slots=True)
@@ -26,7 +158,6 @@ class _StageSlot:
     """Pipeline latch between/inside builder stages."""
 
     entry: ARQEntry
-    pattern: int = 0
     remaining: int = 0
 
 
@@ -34,10 +165,8 @@ class _StageSlot:
 class RequestBuilder:
     """Cycle-level model of the two-stage pipelined request builder.
 
-    Stage 1's OR-reduction goes through :meth:`FlitMap.group_bits
-    <repro.core.flit.FlitMap.group_bits>`, which serves the paper
-    geometry from the precomputed vector table when the
-    ``REPRO_SIM_VECTOR`` kernels are on.
+    The pipeline models the stage timing; the packets themselves come
+    from the shared :class:`PacketEmitter`.
     """
 
     def __init__(
@@ -48,11 +177,7 @@ class RequestBuilder:
     ) -> None:
         self.config = config
         self.codec = codec or AddressCodec(config)
-        self.table = FlitTable(
-            groups=config.groups_per_row,
-            chunk_bytes=config.min_request_bytes,
-            policy=policy,
-        )
+        self.emitter = PacketEmitter(config, self.codec, policy)
         self._stage1: Optional[_StageSlot] = None
         self._stage2: Optional[_StageSlot] = None
         self.built_packets = 0
@@ -113,7 +238,6 @@ class RequestBuilder:
         # Stage 1 -> stage 2 transfer (group OR takes the single cycle).
         if self._stage1 is not None and self._stage2 is None:
             slot = self._stage1
-            slot.pattern = slot.entry.flit_map.group_bits(self.config.groups_per_row)
             slot.remaining = self.config.builder_stage2_cycles
             self._stage2 = slot
             self._stage1 = None
@@ -127,9 +251,7 @@ class RequestBuilder:
             out.extend(self._emit(self._stage2, cycle))
             self._stage2 = None
         if self._stage1 is not None:
-            slot = self._stage1
-            slot.pattern = slot.entry.flit_map.group_bits(self.config.groups_per_row)
-            out.extend(self._emit(slot, cycle))
+            out.extend(self._emit(self._stage1, cycle))
             self._stage1 = None
         return out
 
@@ -152,37 +274,15 @@ class RequestBuilder:
     def build(self, entry: ARQEntry, cycle: int = 0) -> List[CoalescedRequest]:
         """Functional (non-pipelined) build of an entry's packets.
 
-        Used by the fast window engine and by tests; produces exactly what
-        the pipeline would emit.
+        Used by tests; produces exactly what the pipeline would emit.
         """
-        pattern = entry.flit_map.group_bits(self.config.groups_per_row)
-        return self._emit(_StageSlot(entry, pattern), cycle)
+        return self._emit(_StageSlot(entry), cycle)
 
     def _emit(self, slot: _StageSlot, cycle: int) -> List[CoalescedRequest]:
         entry = slot.entry
-        row_base = self.codec.key_row(entry.key) << self.config.row_offset_bits
-        rtype = self.codec.key_type(entry.key)
-        segments = self.table.lookup(slot.pattern)
-        packets: List[CoalescedRequest] = []
-        chunk = self.config.min_request_bytes
-        for seg in segments:
-            seg_lo = seg.offset * self.config.flits_per_group
-            seg_hi = (seg.offset + seg.length) * self.config.flits_per_group
-            idx = [
-                i
-                for i, t in enumerate(entry.targets)
-                if seg_lo <= t.flit_id < seg_hi
-            ]
-            packets.append(
-                CoalescedRequest(
-                    addr=row_base + seg.offset * chunk,
-                    size=seg.length * chunk,
-                    rtype=rtype,
-                    targets=[entry.targets[i] for i in idx],
-                    requests=[entry.requests[i] for i in idx],
-                    issue_cycle=cycle,
-                )
-            )
+        packets = self.emitter.build(
+            entry.key, entry.flit_map.bits, entry.targets, entry.requests, cycle
+        )
         self.built_packets += len(packets)
         self.built_rows += 1
         return packets
@@ -199,22 +299,7 @@ def bypass_packet(
     """
     if entry.fence:
         raise ValueError("fences produce no memory packet")
-    req = entry.requests[0]
-    flit = entry.targets[0].flit_id
-    if entry.atomic:
-        rtype = RequestType.ATOMIC
-        addr = codec.row_base(req.addr) + flit * config.flit_bytes
-    else:
-        rtype = codec.key_type(entry.key)
-        addr = (
-            codec.key_row(entry.key) << config.row_offset_bits
-        ) + flit * config.flit_bytes
-    return CoalescedRequest(
-        addr=addr,
-        size=config.flit_bytes,
-        rtype=rtype,
-        targets=list(entry.targets),
-        requests=list(entry.requests),
-        bypassed=True,
-        issue_cycle=cycle,
+    return PacketEmitter(config, codec).bypass(
+        -1 if entry.atomic else entry.key,
+        list(entry.targets), list(entry.requests), cycle,
     )

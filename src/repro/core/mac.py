@@ -14,7 +14,6 @@ Two engines are provided (DESIGN.md section 6):
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from ..obs.attribution import NULL_ATTRIBUTION, StallCause
@@ -24,13 +23,11 @@ from ..obs.tracer import NULL_TRACER
 from ..sim import ClockedModel, register_wake_protocol
 from .address import AddressCodec
 from .aggregator import RawRequestAggregator
-from .arq import ARQEntry
-from .builder import RequestBuilder, bypass_packet
+from .builder import PacketEmitter
 from .config import MACConfig
-from .flit import FlitMap
 from .flit_table import FlitTablePolicy
 from .packet import CoalescedRequest, CoalescedResponse
-from .request import MemoryRequest, Target
+from .request import MemoryRequest, RequestType, Target
 from .router import RequestRouter, ResponseRouter
 from .stats import MACStats
 
@@ -388,14 +385,6 @@ class MAC(ClockedModel):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _WindowEntry:
-    key: int
-    flit_map: FlitMap
-    targets: List[Target] = field(default_factory=list)
-    requests: List[MemoryRequest] = field(default_factory=list)
-
-
 def coalesce_trace_fast(
     requests: Iterable[MemoryRequest],
     config: Optional[MACConfig] = None,
@@ -408,88 +397,81 @@ def coalesce_trace_fast(
     a (row, type) hit, evict the oldest entry when the window is full,
     drain everything older than a fence when one arrives.  This matches
     the cycle engine's behaviour in the back-pressured steady state the
-    paper evaluates (input rate > 2x drain rate, Fig. 9), and is orders of
-    magnitude faster for million-request sweeps.
+    paper evaluates (input rate > 2x drain rate, Fig. 9).  It is a
+    constant factor faster, not orders of magnitude: over the 12
+    benchmarks at 8 threads x 3000 ops, 1.03 s against 3.31 s for
+    :meth:`MAC.process` on the skip engine (3.2x; 2-CPU x86-64 host,
+    Python 3.11, ``PYTHONPATH=src python scripts/window_vs_cycle.py``).
+
+    The loop walks plain ints: a window entry is ``[flit_bits, targets,
+    requests]`` keyed by :meth:`AddressCodec.row_key`, packets come from
+    the shared :class:`~repro.core.builder.PacketEmitter`, and the stats
+    are tallied once at the end.
 
     Returns the emitted packets in eviction order; fills ``stats`` (or a
     fresh MACStats) identically to the cycle engine.
     """
     cfg = config or MACConfig()
     codec = AddressCodec(cfg)
-    builder = RequestBuilder(cfg, codec, policy)
-    st = stats if stats is not None else MACStats()
-    window: "OrderedDict[int, _WindowEntry]" = OrderedDict()
+    emitter = PacketEmitter(cfg, codec, policy)
+    build, bypass = emitter.build, emitter.bypass
+    row_key = codec.row_key
+    row_offset_mask, flit_shift = codec.row_offset_mask, codec.flit_shift
+    cap, entries = cfg.target_capacity, cfg.arq_entries
+    LOAD, STORE, FENCE = RequestType.LOAD, RequestType.STORE, RequestType.FENCE
+    window: "OrderedDict[int, list]" = OrderedDict()
+    get, evict_oldest = window.get, window.popitem
     out: List[CoalescedRequest] = []
-    cap = cfg.target_capacity
+    append = out.append
+    loads = stores = fences = atomics = 0
 
-    def emit(entry: _WindowEntry) -> None:
-        arq_entry = ARQEntry(
-            key=entry.key,
-            flit_map=entry.flit_map,
-            targets=entry.targets,
-            bypass=len(entry.targets) == 1,
-            requests=entry.requests,
-        )
-        if arq_entry.bypass:
-            pkt = bypass_packet(arq_entry, codec, cfg)
-            out.append(pkt)
-            st.record_packet(pkt)
+    def emit(key: int, entry: list) -> None:
+        if len(entry[1]) == 1:  # B bit: a single request skips the builder
+            append(bypass(key, entry[1], entry[2]))
         else:
-            for pkt in builder.build(arq_entry):
-                out.append(pkt)
-                st.record_packet(pkt)
-
-    def drain_window() -> None:
-        while window:
-            _, entry = window.popitem(last=False)
-            emit(entry)
+            out.extend(build(key, entry[0], entry[1], entry[2]))
 
     for req in requests:
-        st.record_raw(req.rtype)
-        if req.is_fence:
-            drain_window()
+        rtype = req.rtype
+        if rtype is LOAD:
+            loads += 1
+            t = 0
+        elif rtype is STORE:
+            stores += 1
+            t = 1
+        elif rtype is FENCE:
+            fences += 1
+            for key, entry in window.items():
+                emit(key, entry)
+            window.clear()
             continue
-        if req.is_atomic:
+        else:  # atomics bypass the window as single-FLIT packets
+            atomics += 1
             flit = codec.flit_id(req.addr)
-            pkt = bypass_packet(
-                ARQEntry(
-                    key=-1,
-                    flit_map=FlitMap(cfg.flits_per_row),
-                    targets=[Target(req.tid, req.tag, flit)],
-                    bypass=True,
-                    atomic=True,
-                    requests=[req],
-                ),
-                codec,
-                cfg,
-            )
-            out.append(pkt)
-            st.record_packet(pkt)
+            append(bypass(-1, [Target(req.tid, req.tag, flit)], [req]))
             continue
 
-        key = codec.arq_key(req)
-        entry = window.get(key)
-        flit = codec.flit_id(req.addr)
-        if entry is not None and len(entry.targets) < cap:
-            entry.flit_map.set(flit)
-            entry.targets.append(Target(req.tid, req.tag, flit))
-            entry.requests.append(req)
-            continue
+        addr = req.addr
+        key = row_key(addr, t)
+        flit = (addr & row_offset_mask) >> flit_shift
+        entry = get(key)
         if entry is not None:
+            targets = entry[1]
+            if len(targets) < cap:
+                entry[0] |= 1 << flit
+                targets.append(Target(req.tid, req.tag, flit))
+                entry[2].append(req)
+                continue
             # Capacity-full entry: emit it and start a fresh one.
-            window.pop(key)
-            emit(entry)
-        elif len(window) >= cfg.arq_entries:
-            _, oldest = window.popitem(last=False)
-            emit(oldest)
-        fmap = FlitMap(cfg.flits_per_row)
-        fmap.set(flit)
-        window[key] = _WindowEntry(
-            key=key,
-            flit_map=fmap,
-            targets=[Target(req.tid, req.tag, flit)],
-            requests=[req],
-        )
+            del window[key]
+            emit(key, entry)
+        elif len(window) >= entries:
+            emit(*evict_oldest(last=False))
+        window[key] = [1 << flit, [Target(req.tid, req.tag, flit)], [req]]
 
-    drain_window()
+    for key, entry in window.items():
+        emit(key, entry)
+    st = stats if stats is not None else MACStats()
+    st.record_raw_counts(loads, stores, fences, atomics)
+    st.record_packets(out)
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..obs.protocol import StatsMixin
 from .packet import CONTROL_BYTES_PER_ACCESS, CoalescedRequest
@@ -57,14 +57,35 @@ class MACStats(StatsMixin):
         else:
             self.raw_atomics += 1
 
+    def record_raw_counts(
+        self, loads: int, stores: int, fences: int, atomics: int
+    ) -> None:
+        """Fold in a whole stream's :meth:`record_raw` tallies at once."""
+        self.raw_requests += loads + stores + fences + atomics
+        self.raw_loads += loads
+        self.raw_stores += stores
+        self.raw_fences += fences
+        self.raw_atomics += atomics
+
     def record_packet(self, packet: CoalescedRequest) -> None:
-        self.coalesced_packets += 1
-        if packet.bypassed:
-            self.bypassed_packets += 1
-        self.merged_requests += packet.raw_count
-        self.packet_sizes[packet.size] = self.packet_sizes.get(packet.size, 0) + 1
-        self.targets_per_packet.append(packet.raw_count)
-        self.payload_bytes += packet.size
+        self.record_packets((packet,))
+
+    def record_packets(self, packets: Sequence[CoalescedRequest]) -> None:
+        """Record a whole packet stream, tallied in locals and folded once."""
+        sizes = self.packet_sizes
+        counts = [len(p.requests) for p in packets]
+        payload = bypassed = 0
+        for p in packets:
+            size = p.size
+            sizes[size] = sizes.get(size, 0) + 1
+            payload += size
+            if p.bypassed:
+                bypassed += 1
+        self.coalesced_packets += len(packets)
+        self.bypassed_packets += bypassed
+        self.merged_requests += sum(counts)
+        self.targets_per_packet.extend(counts)
+        self.payload_bytes += payload
 
     # -- derived metrics -------------------------------------------------------
 

@@ -7,7 +7,7 @@ collects, per driving loop:
 
 * tick and skip counts, executed vs skipped cycles (the skip-engine's
   effectiveness as a ratio, not an anecdote);
-* vector-kernel hit counts (:mod:`repro.sim.vector` counts table/array
+* vector-kernel hit counts (:mod:`repro.sim.vector` counts array
   dispatches only while a profiler has switched profiling on — the hot
   kernels stay increment-free otherwise);
 * under the sharded-PDES backend, per-shard busy wall-seconds and window

@@ -1,12 +1,12 @@
 """Vectorized busy-phase kernels (DESIGN.md section 10).
 
-The dense inner loops of the busy phase — the builder's FLIT-map
-OR-reduction, the ARQ's all-entries comparator match, and strided
-bank-timing queries across a vault's banks — are batched here as
-array-style kernels.  Each kernel has a pure-Python fallback with
-identical results, so the vectorized path is an optimization, never a
-semantic switch: the hypothesis equivalence suite runs the suite with
-the kernels both on and off and asserts bit-identical outcomes.
+The dense inner loops of the busy phase — the ARQ's all-entries
+comparator match and strided bank-timing queries across a vault's
+banks — are batched here as array-style kernels.  Each kernel has a
+pure-Python fallback with identical results, so the vectorized path is
+an optimization, never a semantic switch: the hypothesis equivalence
+suite runs the suite with the kernels both on and off and asserts
+bit-identical outcomes.
 
 Gating: ``REPRO_SIM_VECTOR`` (default on).  Set ``REPRO_SIM_VECTOR=0``
 to force the pure-Python fallbacks — CI runs tier-1 both ways.  When
@@ -16,7 +16,7 @@ numpy is unavailable the fallbacks are used regardless of the flag.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 try:  # numpy ships with the toolchain; degrade gracefully without it.
     import numpy as _np
@@ -32,7 +32,6 @@ VECTOR_ENV_VAR = "REPRO_SIM_VECTOR"
 #: the hot kernels stay increment-free on unprofiled runs.
 _PROFILING = False
 _COUNTS: Dict[str, int] = {
-    "group_bits": 0,
     "oldest_match": 0,
     "busy_count": 0,
     "max_ready": 0,
@@ -66,66 +65,6 @@ def enabled() -> bool:
     if _np is None:
         return False
     return os.environ.get(VECTOR_ENV_VAR, "1") not in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# FLIT-map OR-reduction (builder stage 1)
-# ---------------------------------------------------------------------------
-
-#: (nflits, groups) -> lookup table mapping a FLIT bitmap to its group
-#: bits.  For the paper geometry (16 FLITs, 4 groups) the table has
-#: 65536 single-byte entries; building it is a one-time vectorized
-#: sweep, and every stage-1 OR-reduction afterwards is one array index.
-_GROUP_TABLES: Dict[Tuple[int, int], object] = {}
-
-#: Don't table geometries wider than this (table size 2**nflits).
-_MAX_TABLE_FLITS = 16
-
-
-def _build_group_table(nflits: int, groups: int):
-    per = nflits // groups
-    mask = (1 << per) - 1
-    if _np is not None:
-        maps = _np.arange(1 << nflits, dtype=_np.uint32)
-        out = _np.zeros(1 << nflits, dtype=_np.uint8)
-        for g in range(groups):
-            out |= (((maps >> (g * per)) & mask) != 0).astype(_np.uint8) << g
-        return out
-    table = bytearray(1 << nflits)
-    for bits in range(1 << nflits):
-        acc = 0
-        for g in range(groups):
-            if (bits >> (g * per)) & mask:
-                acc |= 1 << g
-        table[bits] = acc
-    return bytes(table)
-
-
-def group_bits(bits: int, nflits: int, groups: int) -> int:
-    """OR-reduce a FLIT bitmap into ``groups`` group bits.
-
-    Exactly :meth:`repro.core.flit.FlitMap.group_bits`, served from a
-    precomputed lookup table when the kernels are enabled and the
-    geometry is tableable; the caller falls back to the loop otherwise.
-    """
-    key = (nflits, groups)
-    table = _GROUP_TABLES.get(key)
-    if table is None:
-        table = _build_group_table(nflits, groups)
-        _GROUP_TABLES[key] = table
-    if _PROFILING:
-        _COUNTS["group_bits"] += 1
-    return int(table[bits])
-
-
-def group_table_ready(nflits: int, groups: int) -> bool:
-    """Whether the table path applies to this geometry under the gate."""
-    return (
-        enabled()
-        and nflits <= _MAX_TABLE_FLITS
-        and groups >= 1
-        and nflits % groups == 0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +124,13 @@ def max_ready(ready_cycles: Sequence[int]) -> int:
     return max(ready_cycles, default=0)
 
 
-def clear_tables() -> None:
-    """Drop cached lookup tables (tests that flip the env var use this)."""
-    _GROUP_TABLES.clear()
-
-
 __all__ = [
     "VECTOR_ENV_VAR",
     "have_numpy",
     "enabled",
-    "group_bits",
-    "group_table_ready",
     "oldest_match",
     "busy_count",
     "max_ready",
-    "clear_tables",
     "set_profiling",
     "kernel_counters",
     "reset_kernel_counters",

@@ -51,10 +51,11 @@ def predict_efficiency(
     (FIFO eviction, per-entry target capacity, fences), counting merges
     without building FLIT maps, targets or packets — ~3x faster and
     allocation-free, and provably equivalent to the engine's efficiency
-    (both implement the same merge predicate).
+    (both derive keys with :meth:`AddressCodec.row_key` and implement the
+    same merge predicate).
     """
     cfg = config or MACConfig()
-    codec = AddressCodec(cfg)
+    row_key = AddressCodec(cfg).row_key  # the window engine's key
     cap = cfg.target_capacity
     window: "OrderedDict[int, int]" = OrderedDict()  # key -> target count
     accesses = 0
@@ -69,9 +70,7 @@ def predict_efficiency(
             accesses += 1
             continue
         accesses += 1
-        t_bit = rec.op.t_bit
-        row_bits = cfg.phys_addr_bits - cfg.row_offset_bits
-        key = (t_bit << row_bits) | codec.row_number(rec.addr)
+        key = row_key(rec.addr, rec.op.t_bit)
         count = window.get(key)
         if count is not None and count < cap:
             window[key] = count + 1

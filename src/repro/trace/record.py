@@ -65,7 +65,12 @@ def to_requests(records: Iterable[TraceRecord], node: int = 0) -> Iterator[Memor
     the paper's 64 K transactions per thread (section 4.1.1).
     """
     next_tag: dict[int, int] = {}
+    get = next_tag.get
     for rec in records:
-        tag = next_tag.get(rec.tid, 0)
-        next_tag[rec.tid] = (tag + 1) & 0xFFFF
-        yield rec.to_request(tag=tag, node=node)
+        tid = rec.tid
+        tag = get(tid, 0)
+        next_tag[tid] = (tag + 1) & 0xFFFF
+        # ``rec.to_request(tag, node)``, built inline: this is per record.
+        yield MemoryRequest(
+            rec.addr, rec.op, tid, tag, rec.size, rec.core, node, rec.cycle
+        )

@@ -288,13 +288,11 @@ class TestBusyPhaseEquivalence:
         results = {}
         for flag in ("1", "0"):
             monkeypatch.setenv(vector.VECTOR_ENV_VAR, flag)
-            vector.clear_tables()
             lock = self.run_conflict_node("lockstep", lsq_capacity=4)
             skip = self.run_conflict_node("skip", lsq_capacity=4)
             assert skip.cycle == lock.cycle
             assert skip.metrics() == lock.metrics()
             results[flag] = lock.metrics()
-        vector.clear_tables()
         assert results["0"] == results["1"]
 
 
