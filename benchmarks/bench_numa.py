@@ -91,7 +91,9 @@ def test_numa_sharded_scaling(benchmark):
     """Sharded PDES over a 64-node mesh: identity always, speedup if cores.
 
     The equivalence suite proves shards=k is bit-identical on small
-    meshes; this figure measures the wall-clock payoff at scale.  The
+    meshes; this figure measures the wall-clock payoff at scale.  Every
+    row runs the skip engine, so the speedup is shards=1 vs shards=k on
+    one engine (the table's engine column shows it).  The
     ≥3x speedup assertion is gated on host parallelism — on a 1-CPU
     container the forked shards time-slice one core and sharding can
     only break even.
@@ -113,6 +115,7 @@ def test_numa_sharded_scaling(benchmark):
         [
             shards,
             "PDES" if cell["sharded"] else "serial",
+            cell["engine"],
             cell["windows"],
             f"{cell['wall_s']:.2f}",
             f"{cell['speedup']:.2f}x",
@@ -122,7 +125,7 @@ def test_numa_sharded_scaling(benchmark):
     print()
     print(
         format_table(
-            ["shards", "backend", "windows", "wall s", "speedup"],
+            ["shards", "backend", "engine", "windows", "wall s", "speedup"],
             rows,
             title=f"64-node {out['benchmark']} mesh, conservative windows",
         )

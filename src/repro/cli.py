@@ -130,9 +130,9 @@ def _add_engine_arg(p: argparse.ArgumentParser) -> None:
         "--engine",
         choices=engine_names(),
         default=None,
-        help="simulation engine: lockstep clocks every cycle, skip "
-        "fast-forwards over quiescent spans with identical results "
-        f"(default: ${ENGINE_ENV_VAR} or lockstep)",
+        help="simulation engine: skip fast-forwards over quiescent spans, "
+        "lockstep clocks every cycle and is the reference; both give "
+        f"identical results (default: ${ENGINE_ENV_VAR} or skip)",
     )
 
 

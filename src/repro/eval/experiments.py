@@ -566,8 +566,14 @@ def numa_scaling(
     time and speedup plus ``identical``: whether every run produced the
     same cycle count and the same full metrics dict — the PDES
     bit-identity contract measured end to end.
+
+    The PDES shards always run the skip engine, so the serial
+    reference runs it too, named explicitly rather than taken from
+    ``$REPRO_SIM_ENGINE``; ``runs[k]["engine"]`` records it.
     """
     import time
+
+    from repro.sim import SkipEngine
 
     from .runner import numa_closed_loop
 
@@ -584,6 +590,7 @@ def numa_scaling(
             interconnect_latency=interconnect_latency,
             interleave_bytes=interleave_bytes,
             shards=shards,
+            engine=SkipEngine.name,
         )
         wall = time.perf_counter() - t0
         outcome = (system.cycle, system.metrics())
@@ -597,6 +604,7 @@ def numa_scaling(
             "cycles": system.cycle,
             "windows": report.windows if report else 0,
             "sharded": report is not None,
+            "engine": SkipEngine.name,
         }
     base = runs[shard_counts[0]]["wall_s"]
     for cell in runs.values():

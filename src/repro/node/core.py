@@ -195,6 +195,7 @@ class InOrderCore:
             self.lsq._pending.pop((req.tid, req.tag), None)
             self.lsq.inserted -= 1
             self.stats.mac_requests -= 1
+            self.spm.misses -= 1  # the re-issue looks the SPM up again
         self.stats.issued -= 1
         # Put the request back at the head of the stream.
         if self._next is not None:

@@ -162,6 +162,7 @@ class MultithreadedCore:
         ctx.issued -= 1
         self.stats.issued -= 1
         self.stats.mac_requests -= 1
+        self.spm.misses -= 1  # the re-issue looks the SPM up again
         ctx.ready_cycle = 0
 
     def complete(self, tid: int, tag: int, cycle: int) -> bool:

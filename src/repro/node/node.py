@@ -592,7 +592,9 @@ class Node(ClockedModel):
 
         ``engine`` selects the simulation engine (name or instance, see
         :mod:`repro.sim`); the default honours ``$REPRO_SIM_ENGINE`` and
-        falls back to lockstep.
+        falls back to skip, which fast-forwards the cycles every core
+        spends blocked on memory.  Pass ``"lockstep"`` for the reference
+        engine; both give identical results.
         """
         self._run_loop(max_cycles, engine=engine)
         self._sync_cores()

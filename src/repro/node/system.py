@@ -372,7 +372,8 @@ class NUMASystem(ClockedModel):
 
         ``engine`` selects the simulation engine (name or instance, see
         :mod:`repro.sim`); the default honours ``$REPRO_SIM_ENGINE`` and
-        falls back to lockstep.  ``shards`` > 1 — defaulting to
+        falls back to skip (``"lockstep"`` is the reference engine; both
+        give identical results).  ``shards`` > 1 — defaulting to
         ``$REPRO_SIM_SHARDS`` — runs the mesh under conservative PDES
         (:mod:`repro.sim.pdes`), bit-identical to the serial engines;
         configurations that cannot shard (see :meth:`shard_blockers`)

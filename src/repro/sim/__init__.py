@@ -5,8 +5,8 @@ Shared clocking machinery for every closed-loop model: the
 (cycle counter + run loop, deduplicated out of ``MAC``, ``Node`` and
 ``NUMASystem``) and the two interchangeable engines —
 :class:`LockstepEngine` (one tick per cycle) and :class:`SkipEngine`
-(quiescence detection + fast-forward to the next wake event), which are
-bit-identical by contract.
+(quiescence detection + fast-forward to the next wake event, the
+default), which share one run loop and are bit-identical by contract.
 """
 
 from .kernel import (

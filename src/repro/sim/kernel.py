@@ -7,12 +7,15 @@ carry its own copy of the same ``_cycle`` counter, ``cycle`` property,
 that machinery once, and adds the piece the lockstep loops could never
 express: *quiescence skipping*.
 
-Two interchangeable engines drive a :class:`ClockedModel`:
+Two interchangeable engines drive a :class:`ClockedModel`, both through
+the one run loop of :class:`Engine`:
 
 * :class:`LockstepEngine` — exactly the historical semantics: one ``tick()``
-  per cycle until ``done()``, with the model's max-cycles guard.
-* :class:`SkipEngine` — after each tick it asks the model for its earliest
-  *wake event* (``next_event_cycle``).  When the model reports that nothing
+  per cycle until ``done()``, with the model's max-cycles guard.  It is the
+  reference that defines correctness.
+* :class:`SkipEngine` — the same loop with the wake probe switched on:
+  after each tick it asks the model for its earliest *wake event*
+  (``next_event_cycle``).  When the model reports that nothing
   non-uniform can happen before cycle ``w`` (all cores blocked on an
   in-flight memory response, MAC drained, fabric empty, no timeout due), the
   engine calls ``skip_to(w)``: the model bulk-applies the per-cycle
@@ -25,7 +28,9 @@ Two interchangeable engines drive a :class:`ClockedModel`:
 
 Engine selection:  pass an engine instance or name (``"lockstep"`` /
 ``"skip"``) to any ``run()``; ``None`` falls back to the ``REPRO_SIM_ENGINE``
-environment variable, then to lockstep.
+environment variable, then to skip.  Skip is the default because a
+latency-bound closed-loop run spends almost all of its cycles waiting on
+memory, and skip is bit-identical to lockstep.
 """
 
 from __future__ import annotations
@@ -193,10 +198,19 @@ class ClockedModel:
         )
 
 
-class LockstepEngine:
-    """One ``tick()`` per cycle — the extracted historical semantics."""
+class Engine:
+    """The run loop shared by both engines.
 
-    name = "lockstep"
+    ``skips`` switches the quiescence probe on: after each tick the loop
+    asks the model for its earliest wake event (``next_event_cycle``)
+    and, when it lies in the future, fast-forwards with ``skip_to``.
+    With ``skips`` off the loop never calls either and ticks once per
+    cycle.  Timeline pumping, profiler accounting, the watchdog and the
+    max-cycles guard are the same code either way.
+    """
+
+    name = ""
+    skips = False
 
     def __init__(self, watchdog=None):
         #: Hang detector / invariant sanitizer observing each iteration
@@ -212,9 +226,13 @@ class LockstepEngine:
         relative: bool = False,
     ) -> int:
         start = sim.cycle if relative else 0
+        limit = start + max_cycles
+        skips = self.skips
         wd = self.watchdog
         if wd.enabled:
             wd.reset()
+            if skips and getattr(wd, "sanitize", False):
+                _warn_default_wake(sim)
         tl = getattr(sim, "timeline", NULL_TIMELINE)
         prof = getattr(sim, "profiler", NULL_PROFILER)
         observed = tl.enabled or prof.enabled
@@ -222,18 +240,40 @@ class LockstepEngine:
             tl.bind(sim)
         if prof.enabled:
             prof.run_started(self.name)
+        # With ``skips`` on, the wake probe runs every tick.  The
+        # per-component event wheel keeps ``next_event_cycle`` O(1) on the
+        # hot models (Node tracks its earliest wake incrementally instead
+        # of walking every core), so probing each cycle is cheap — and it
+        # catches the short quiescent pockets inside busy phases that the
+        # old exponential probe backoff (probe every <=64 ticks) used to
+        # sail past.
         while not sim.done():
             out = sim.tick()
+            now = sim.cycle
             if on_tick is not None and out:
                 on_tick(out)
             if observed:
                 if tl.enabled:
-                    tl.pump(sim.cycle)
+                    tl.pump(now)
                 prof.note_tick()
             if wd.enabled:
                 wd.observe(sim)
-            if sim.cycle - start > max_cycles:
+            if now - start > max_cycles:
                 raise RuntimeError(sim._overrun_msg)
+            if not skips:
+                continue
+            wake = sim.next_event_cycle(now)
+            if wake is not None and wake > now:
+                # Never skip past the guard: lockstep raises with the
+                # counter at limit + 1, and so must we.
+                sim.skip_to(min(wake, limit))
+                if observed:
+                    # A boundary landing exactly on the skip target is
+                    # sampled here, before the next tick — the same
+                    # pre-tick ordering lockstep gives it.
+                    if tl.enabled:
+                        tl.pump(sim.cycle)
+                    prof.note_skip(sim.cycle - now)
         if observed:
             if tl.enabled:
                 tl.finish(sim.cycle)
@@ -243,7 +283,13 @@ class LockstepEngine:
         return sim.cycle
 
 
-class SkipEngine:
+class LockstepEngine(Engine):
+    """One ``tick()`` per cycle: the reference that defines correctness."""
+
+    name = "lockstep"
+
+
+class SkipEngine(Engine):
     """Event-wheel scheduler: fast-forwards through quiescent spans.
 
     Bit-identical to :class:`LockstepEngine` by construction: a skip is
@@ -253,70 +299,7 @@ class SkipEngine:
     """
 
     name = "skip"
-
-    def __init__(self, watchdog=None):
-        #: See :class:`LockstepEngine.watchdog`.
-        self.watchdog = watchdog if watchdog is not None else default_watchdog()
-
-    def run(
-        self,
-        sim: ClockedModel,
-        max_cycles: int,
-        on_tick: Optional[Callable[[list], None]] = None,
-        relative: bool = False,
-    ) -> int:
-        start = sim.cycle if relative else 0
-        limit = start + max_cycles
-        wd = self.watchdog
-        if wd.enabled:
-            wd.reset()
-            if getattr(wd, "sanitize", False):
-                _warn_default_wake(sim)
-        tl = getattr(sim, "timeline", NULL_TIMELINE)
-        prof = getattr(sim, "profiler", NULL_PROFILER)
-        observed = tl.enabled or prof.enabled
-        if tl.enabled:
-            tl.bind(sim)
-        if prof.enabled:
-            prof.run_started(self.name)
-        # The wake probe runs every tick.  The per-component event wheel
-        # keeps ``next_event_cycle`` O(1) on the hot models (Node tracks
-        # its earliest wake incrementally instead of walking every core),
-        # so probing each cycle is cheap — and it catches the short
-        # quiescent pockets inside busy phases that the old exponential
-        # probe backoff (probe every <=64 ticks) used to sail past.
-        while not sim.done():
-            out = sim.tick()
-            if on_tick is not None and out:
-                on_tick(out)
-            if observed:
-                if tl.enabled:
-                    tl.pump(sim.cycle)
-                prof.note_tick()
-            if wd.enabled:
-                wd.observe(sim)
-            if sim.cycle - start > max_cycles:
-                raise RuntimeError(sim._overrun_msg)
-            wake = sim.next_event_cycle(sim.cycle)
-            if wake is not None and wake > sim.cycle:
-                # Never skip past the guard: lockstep raises with the
-                # counter at limit + 1, and so must we.
-                before = sim.cycle
-                sim.skip_to(min(wake, limit))
-                if observed:
-                    # A boundary landing exactly on the skip target is
-                    # sampled here, before the next tick — the same
-                    # pre-tick ordering lockstep gives it.
-                    if tl.enabled:
-                        tl.pump(sim.cycle)
-                    prof.note_skip(sim.cycle - before)
-        if observed:
-            if tl.enabled:
-                tl.finish(sim.cycle)
-            prof.run_finished(sim.cycle)
-        if wd.enabled:
-            wd.finish(sim)
-        return sim.cycle
+    skips = True
 
 
 #: Engine registry, keyed by CLI-facing name.
@@ -325,7 +308,7 @@ ENGINES = {
     SkipEngine.name: SkipEngine,
 }
 
-DEFAULT_ENGINE = LockstepEngine.name
+DEFAULT_ENGINE = SkipEngine.name
 
 
 def engine_names() -> List[str]:
@@ -337,8 +320,8 @@ def get_engine(spec=None):
     """Resolve an engine instance from a name, instance, or the environment.
 
     ``None`` consults ``$REPRO_SIM_ENGINE`` (so a whole test suite can run
-    under the skip engine without touching call sites), then defaults to
-    lockstep.  Unknown names raise ``ValueError``.
+    under the lockstep reference without touching call sites), then
+    defaults to skip.  Unknown names raise ``ValueError``.
     """
     if spec is None:
         spec = os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE

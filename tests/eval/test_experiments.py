@@ -145,3 +145,23 @@ class TestAblation:
             assert row["fixed_bandwidth_eff"] >= row["mac_bandwidth_eff"] - 0.05
             # ...but it moves far more useless data.
             assert row["fixed_useful_fraction"] <= row["mac_useful_fraction"] + 1e-9
+
+
+class TestNumaScaling:
+    def test_every_row_runs_the_skip_engine(self, monkeypatch):
+        # The serial reference must not pick up $REPRO_SIM_ENGINE while
+        # the shards run skip: the speedup would measure the engine.
+        # A lockstep run would raise, so this pins the engine that ran,
+        # not just the label recorded for it.
+        from repro.sim import ENGINE_ENV_VAR, LockstepEngine
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("numa_scaling ran the lockstep engine")
+
+        monkeypatch.setenv(ENGINE_ENV_VAR, "lockstep")
+        monkeypatch.setattr(LockstepEngine, "run", refuse)
+        out = E.numa_scaling(
+            "GUPS", nodes=4, threads=1, ops_per_thread=20, shard_counts=(1, 2)
+        )
+        assert out["identical"]
+        assert [cell["engine"] for cell in out["runs"].values()] == ["skip", "skip"]

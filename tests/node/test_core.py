@@ -106,3 +106,17 @@ class TestRetry:
         core.retry()
         fence = core.tick(1)
         assert fence.is_fence
+
+    def test_refused_issues_do_not_count_as_spm_misses(self):
+        # A tiny MAC input queue refuses most issue attempts; each refusal
+        # is undone by retry() and must not leave an SPM miss behind.
+        from repro.node.node import Node
+
+        node = Node([iter(reqs(40, row=t + 1, tid=t)) for t in range(8)])
+        node.mac.request_router.local_queue.capacity = 2
+        node.run()
+        assert node.mac.request_router.local_queue.rejected > 0
+        misses = sum(core.spm.misses for core in node.cores)
+        assert misses == sum(core.stats.mac_requests for core in node.cores)
+        assert misses == 8 * 40
+        assert all(core.spm.hits == 0 for core in node.cores)

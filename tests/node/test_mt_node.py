@@ -72,3 +72,14 @@ class TestMTNode:
         node.mac.request_router.local_queue.capacity = 2
         st = node.run()
         assert st.responses_delivered == 64 * 40
+
+    def test_refused_issues_do_not_count_as_spm_misses(self):
+        node = Node.with_multithreaded_cores(
+            [stream(t, n=40) for t in range(64)], cores=2
+        )
+        node.mac.request_router.local_queue.capacity = 2
+        node.run()
+        assert node.mac.request_router.local_queue.rejected > 0
+        misses = sum(core.spm.misses for core in node.cores)
+        assert misses == sum(core.stats.mac_requests for core in node.cores)
+        assert misses == 64 * 40

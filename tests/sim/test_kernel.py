@@ -104,6 +104,30 @@ class TestEngines:
             SkipEngine().run(skip, max_cycles=10)
         assert skip.cycle == lock.cycle == 11
 
+    def test_only_skip_probes_the_wake_protocol(self):
+        # Lockstep is the shared run loop with the probe switched off: it
+        # never asks for a wake event and never fast-forwards.
+        class Probed(Pulse):
+            def __init__(self, events):
+                super().__init__(events)
+                self.probes = 0
+                self.skip_calls = 0
+
+            def next_event_cycle(self, now):
+                self.probes += 1
+                return super().next_event_cycle(now)
+
+            def skip_to(self, target):
+                self.skip_calls += 1
+                super().skip_to(target)
+
+        lock, skip = Probed([3, 7, 20]), Probed([3, 7, 20])
+        LockstepEngine().run(lock, max_cycles=100)
+        SkipEngine().run(skip, max_cycles=100)
+        assert (lock.probes, lock.skip_calls) == (0, 0)
+        assert skip.probes == skip.ticks and skip.skip_calls == 3
+        assert lock.fired == skip.fired and lock.cycle == skip.cycle
+
     def test_relative_budget_counts_from_current_cycle(self):
         sim = Pulse([3, 7])
         LockstepEngine().run(sim, max_cycles=100)
@@ -114,17 +138,18 @@ class TestEngines:
 
 
 class TestEngineResolution:
-    def test_default_is_lockstep(self, monkeypatch):
+    def test_default_is_skip(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert isinstance(get_engine(None), LockstepEngine)
-
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "skip")
+        assert DEFAULT_ENGINE == "skip"
         assert isinstance(get_engine(None), SkipEngine)
 
+    def test_env_var_selects_engine(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV_VAR, "lockstep")
+        assert isinstance(get_engine(None), LockstepEngine)
+
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "skip")
-        assert isinstance(get_engine("lockstep"), LockstepEngine)
+        monkeypatch.setenv(ENGINE_ENV_VAR, "lockstep")
+        assert isinstance(get_engine("skip"), SkipEngine)
 
     def test_instance_passthrough(self):
         eng = SkipEngine()
@@ -139,9 +164,7 @@ class TestEngineResolution:
             get_engine(42)
 
     def test_names_list_default_first(self):
-        names = engine_names()
-        assert names[0] == DEFAULT_ENGINE
-        assert set(names) == {"lockstep", "skip"}
+        assert engine_names() == ["skip", "lockstep"]
 
 
 class TestBoilerplateDedup:

@@ -121,6 +121,26 @@ class TestCommands:
         assert any(k.startswith("attribution.stages.") for k in metrics)
         assert any(k.startswith("attribution.stalls.") for k in metrics)
 
+    def test_engine_defaults_to_skip(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        from repro.sim import ENGINE_ENV_VAR
+
+        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+        assert build_parser().parse_args(["run", "SG"]).engine is None
+        out = tmp_path / "metrics.json"
+        args = ["run", "SG", "--threads", "2", "--ops", "100", "--profile"]
+        runs = {}
+        for extra in ([], ["--engine", "lockstep"]):
+            assert main(args + extra + ["--metrics-out", str(out)]) == 0
+            metrics = json.loads(out.read_text())
+            engine = metrics["sim.engine"]
+            runs[engine] = {
+                k: v for k, v in metrics.items() if not k.startswith("sim.")
+            }
+        assert list(runs) == ["skip", "lockstep"]
+        assert runs["skip"] == runs["lockstep"]
+
 
 class TestAnalyze:
     SIZING = ["--threads", "2", "--ops", "200"]
