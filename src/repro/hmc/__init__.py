@@ -9,7 +9,6 @@ serialized full-duplex links and a configurable logic-layer NoC
 
 from .bank import PAGE_POLICIES, Bank, open_page_map
 from .config import HMCConfig, PAPER_HMC
-from .crossbar import Crossbar
 from .device import HMCDevice
 from .link import Link, LinkChannel
 from .noc import (
@@ -29,7 +28,6 @@ from .vault import Vault, VaultStats
 
 __all__ = [
     "Bank",
-    "Crossbar",
     "HMCCommand",
     "HMCConfig",
     "HMCDevice",

@@ -1,7 +1,7 @@
 """Configurable intra-cube NoC of the HMC logic layer (DESIGN.md §14).
 
-Replaces the fixed-latency :class:`repro.hmc.crossbar.Crossbar` with a
-pluggable link<->vault interconnect.  Hadidi et al. ("Performance
+Replaces the legacy fixed-latency crossbar with a pluggable link<->vault
+interconnect.  Hadidi et al. ("Performance
 Implications of NoCs on 3D-Stacked Memories") show the logic-layer
 switch is a first-order bottleneck that interacts with packet size; this
 module makes that axis explorable while keeping the default (``ideal``)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.hmc.config import HMCConfig
-from repro.hmc.crossbar import Crossbar
 from repro.hmc.noc import (
     NOC_ARBITRATIONS,
     NOC_TOPOLOGIES,
@@ -21,12 +20,14 @@ T = HMCTiming()
 
 class TestIdealNoC:
     def test_matches_legacy_crossbar_cycle_for_cycle(self):
-        """`ideal` is the executable-reference equivalence: same delay
-        as the legacy Crossbar for any cycle, both directions."""
-        legacy, noc = Crossbar(T), IdealNoC(T)
-        for cycle in (0, 1, 17, 93, 10_000):
-            assert noc.to_vault(cycle, vault=3, link=1, flits=9) == legacy.to_vault(cycle)
-            assert noc.to_link(cycle, vault=3, link=1, flits=9) == legacy.to_link(cycle)
+        """`ideal` has the legacy fixed-latency crossbar's delay for any
+        cycle, both directions: its outputs, recorded before it was
+        removed (default timing, ``crossbar_latency`` = 8)."""
+        legacy = {0: 8, 1: 9, 17: 25, 93: 101, 10_000: 10_008}
+        noc = IdealNoC(T)
+        for cycle, out in legacy.items():
+            assert noc.to_vault(cycle, vault=3, link=1, flits=9) == out
+            assert noc.to_link(cycle, vault=3, link=1, flits=9) == out
 
     def test_no_contention_state(self):
         noc = IdealNoC(T)

@@ -1,9 +1,8 @@
-"""Unit tests for vault controller, link serialization and crossbar."""
+"""Unit tests for vault controller and link serialization."""
 
 import pytest
 
 from repro.hmc.config import HMCConfig
-from repro.hmc.crossbar import Crossbar
 from repro.hmc.link import Link, LinkChannel
 from repro.hmc.timing import HMCTiming
 from repro.hmc.vault import Vault
@@ -77,11 +76,3 @@ class TestLink:
         link.request.transmit(0, 2)
         link.response.transmit(0, 5)
         assert link.wire_flits == 7
-
-
-class TestCrossbar:
-    def test_fixed_latency(self):
-        xbar = Crossbar(T)
-        assert xbar.to_vault(100) == 100 + T.crossbar_latency
-        assert xbar.to_link(200) == 200 + T.crossbar_latency
-        assert xbar.forwarded == 1 and xbar.returned == 1

@@ -38,7 +38,7 @@ def test_registry_covers_the_component_tree():
         "MAC", "RawRequestAggregator", "AggregatedRequestQueue",
         "RequestBuilder", "RequestRouter", "ResponseRouter",
         # device layer
-        "HMCDevice", "Vault", "Bank", "Crossbar", "Link",
+        "HMCDevice", "Vault", "Bank", "Link",
         # intra-cube NoC topologies (PR 10)
         "IdealNoC", "XbarNoC", "RingNoC", "MeshNoC",
     }
