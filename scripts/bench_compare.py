@@ -18,6 +18,8 @@ on only one side are reported but never fail the gate (new or retired
 figures are expected as the suite grows).  Metric values present on
 both sides are printed for context; only wall time is gated, because
 key metrics are deterministic and already pinned by the test suite.
+When both sides resolve to the same artifact files the wall-time gate
+cannot fire, so it is reported as not run; ``--require`` still applies.
 """
 
 from __future__ import annotations
@@ -26,19 +28,22 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
+
+
+def artifact_files(path: Path) -> List[Path]:
+    """The ``BENCH_*.json`` files a file or directory argument names."""
+    if path.is_file():
+        return [path]
+    if path.is_dir():
+        return sorted(path.glob("BENCH_*.json"))
+    raise FileNotFoundError(f"no such file or directory: {path}")
 
 
 def load_artifacts(path: Path) -> Dict[str, dict]:
     """Load ``{benchmark name: artifact}`` from a file or directory."""
-    if path.is_file():
-        files = [path]
-    elif path.is_dir():
-        files = sorted(path.glob("BENCH_*.json"))
-    else:
-        raise FileNotFoundError(f"no such file or directory: {path}")
     out: Dict[str, dict] = {}
-    for f in files:
+    for f in artifact_files(path):
         data = json.loads(f.read_text())
         name = data.get("name") or f.stem
         out[name] = data
@@ -132,6 +137,15 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
+    same = {f.resolve() for f in artifact_files(args.baseline)} == {
+        f.resolve() for f in artifact_files(args.candidate)
+    }
+    if same:
+        print(
+            f"wall-time gate not run: baseline and candidate are the same "
+            f"{len(candidate)} artifact(s)"
+        )
+        return 0
     regressions = compare(baseline, candidate, args.threshold)
     if regressions:
         print(

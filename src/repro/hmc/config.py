@@ -9,7 +9,7 @@ one control FLIT per packet (32 B of control per access, section 2.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.faults.config import FaultConfig
 
@@ -110,35 +110,28 @@ class HMCConfig:
     def row_offset_bits(self) -> int:
         return (self.row_bytes - 1).bit_length()
 
-    @property
-    def vault_bits(self) -> int:
-        return (self.vaults - 1).bit_length()
-
-    @property
-    def bank_bits(self) -> int:
-        return (self.banks_per_vault - 1).bit_length()
-
     # -- address mapping -----------------------------------------------------
     # HMC default mapping interleaves consecutive rows across vaults first,
     # then banks (low-order interleaving maximises vault-level parallelism
     # for streaming traffic).  Higher row bits are XOR-folded into the
     # vault/bank indices — the standard controller address hash that keeps
     # power-of-two strides (tiled matrices, histogram tables) from
-    # aliasing onto a single vault.
+    # aliasing onto a single vault.  The fold itself lives in
+    # :class:`AddressMap`, shared with the device's submit path.
+
+    def address_map(self) -> "AddressMap":
+        """The address fold of this geometry."""
+        return AddressMap(self.row_bytes, self.vaults, self.banks_per_vault)
 
     def vault_of(self, addr: int) -> int:
-        row = addr >> self.row_offset_bits
-        folded = row ^ (row >> self.vault_bits) ^ (row >> (2 * self.vault_bits))
-        return folded & (self.vaults - 1)
+        return self.address_map().locate(addr)[0]
 
     def bank_of(self, addr: int) -> int:
-        upper = addr >> (self.row_offset_bits + self.vault_bits)
-        folded = upper ^ (upper >> self.bank_bits)
-        return folded & (self.banks_per_vault - 1)
+        return self.address_map().locate(addr)[1]
 
     def dram_row_of(self, addr: int) -> int:
         """In-bank row index (above vault+bank bits)."""
-        return addr >> (self.row_offset_bits + self.vault_bits + self.bank_bits)
+        return self.address_map().locate(addr)[2]
 
     def global_row_of(self, addr: int) -> int:
         """Device-wide row number (the MAC's coalescing unit)."""
@@ -163,6 +156,38 @@ class HMCConfig:
     def columns(self, size: int) -> int:
         """TSV column bursts needed for ``size`` bytes."""
         return -(-size // self.column_bytes)
+
+
+class AddressMap:
+    """The vault/bank/row address fold of one geometry.
+
+    Shifts and masks are fixed at construction.  The vault index XORs
+    the row number with its next two ``vault_bits`` slices; the bank
+    index XORs the bits above the vault field with their next
+    ``bank_bits`` slice; the in-bank row is what lies above the vault
+    and bank fields.
+    """
+
+    __slots__ = ("row_shift", "vault_bits", "bank_bits", "vault_mask", "bank_mask")
+
+    def __init__(self, row_bytes: int, vaults: int, banks: int) -> None:
+        self.row_shift = (row_bytes - 1).bit_length()
+        self.vault_bits = (vaults - 1).bit_length()
+        self.bank_bits = (banks - 1).bit_length()
+        self.vault_mask = vaults - 1
+        self.bank_mask = banks - 1
+
+    def locate(self, addr: int) -> Tuple[int, int, int]:
+        """``(vault, bank, in-bank row)`` of byte address ``addr``."""
+        row = addr >> self.row_shift
+        vault_bits = self.vault_bits
+        bank_bits = self.bank_bits
+        upper = row >> vault_bits
+        return (
+            (row ^ upper ^ (upper >> vault_bits)) & self.vault_mask,
+            (upper ^ (upper >> bank_bits)) & self.bank_mask,
+            upper >> bank_bits,
+        )
 
 
 #: Device configuration used throughout the paper's evaluation.

@@ -1,6 +1,7 @@
 """Unit tests for HMC geometry/protocol configuration."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hmc.config import HMCConfig, PAPER_HMC
 
@@ -51,6 +52,32 @@ class TestAddressMapping:
         """The XOR fold spreads 8 KB-strided streams (tiled matrices)."""
         vaults = {PAPER_HMC.vault_of(i * 8192) for i in range(64)}
         assert len(vaults) > 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        addr=st.integers(min_value=0, max_value=2**52),
+        vaults=st.sampled_from((1, 2, 8, 16, 32, 64)),
+        banks=st.sampled_from((1, 8, 16)),
+        row=st.sampled_from((128, 256, 1024)),
+    )
+    def test_fold_matches_its_definition(self, addr, vaults, banks, row):
+        """The shared fold equals the XOR-fold written out field by field."""
+        cfg = HMCConfig(
+            vaults=vaults, banks_per_vault=banks, row_bytes=row,
+            max_request_bytes=min(row, 256),
+        )
+        row_bits = (row - 1).bit_length()
+        vault_bits = (vaults - 1).bit_length()
+        bank_bits = (banks - 1).bit_length()
+        r = addr >> row_bits
+        vault = (r ^ (r >> vault_bits) ^ (r >> (2 * vault_bits))) & (vaults - 1)
+        upper = addr >> (row_bits + vault_bits)
+        bank = (upper ^ (upper >> bank_bits)) & (banks - 1)
+        dram_row = addr >> (row_bits + vault_bits + bank_bits)
+        assert cfg.address_map().locate(addr) == (vault, bank, dram_row)
+        assert (cfg.vault_of(addr), cfg.bank_of(addr), cfg.dram_row_of(addr)) == (
+            vault, bank, dram_row,
+        )
 
     def test_global_row(self):
         assert PAPER_HMC.global_row_of(0x1234_00) == 0x1234

@@ -1,10 +1,15 @@
 """Device-level tests: Table 1 calibration, Fig. 2 scenario, routing."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.packet import CoalescedRequest
 from repro.core.request import RequestType
+from repro.hmc.config import HMCConfig
 from repro.hmc.device import HMCDevice
+from repro.hmc.packet import encode
 
 
 def read(addr, size=16):
@@ -86,6 +91,74 @@ class TestProtocolValidation:
         dev.submit(read(0x100), 100)
         with pytest.raises(ValueError):
             dev.submit(read(0x200), 50)
+
+
+class TestShapeCache:
+    """``submit`` caches each packet shape after its first valid packet;
+    later packets of that shape must still be checked like ``encode``."""
+
+    @pytest.mark.parametrize(
+        "addr,size",
+        [(0x108, 16), (0xF0, 32), (0xF8, 32)],
+        ids=["misaligned", "row-crossing", "misaligned-and-crossing"],
+    )
+    def test_cached_shape_rejects_like_encode(self, addr, size):
+        dev = HMCDevice()
+        dev.submit(read(0x100, size), 0)
+        with pytest.raises(ValueError) as cached:
+            dev.submit(read(addr, size), 1)
+        with pytest.raises(ValueError) as encoded:
+            encode(read(addr, size), dev.config)
+        assert str(cached.value) == str(encoded.value)
+        assert dev.stats.requests == 1
+
+    def test_oversize_rejected_on_every_call(self):
+        dev = HMCDevice()
+        for cycle in range(3):
+            with pytest.raises(ValueError, match="exceeds protocol max"):
+                dev.submit(read(0x0, 512), cycle)
+        assert dev.stats.requests == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vaults=st.sampled_from((8, 16, 32)),
+        banks=st.sampled_from((8, 16)),
+        row=st.sampled_from((128, 256)),
+        packets=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**40),
+                st.sampled_from((16, 32, 64, 128)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+    )
+    def test_packets_reach_the_vault_and_bank_encode_names(
+        self, vaults, banks, row, packets
+    ):
+        cfg = HMCConfig(
+            vaults=vaults, banks_per_vault=banks, row_bytes=row,
+            max_request_bytes=row,
+        )
+        dev = HMCDevice(cfg)
+        for cycle, (addr, size, store) in enumerate(packets):
+            req = (write if store else read)(addr - addr % size, size)
+            wire = encode(req, cfg)
+            vault = dev.vaults[wire.vault]
+            bank = vault.banks[wire.bank]
+            requests, accesses = vault.stats.requests, bank.accesses
+            dev.submit(req, cycle)
+            assert vault.stats.requests == requests + 1
+            assert bank.accesses == accesses + 1
+            assert bank.last_row == wire.dram_row
+
+    def test_device_survives_pickling(self):
+        """Sharded runs pickle whole nodes, devices included."""
+        dev = HMCDevice()
+        dev.submit(read(0x100), 0)
+        copy = pickle.loads(pickle.dumps(dev))
+        assert copy.submit(read(0x4200), 5) == dev.submit(read(0x4200), 5)
 
 
 class TestRouting:
